@@ -48,6 +48,8 @@ impl std::error::Error for ParseError {}
 pub struct Args {
     /// First positional (the subcommand).
     pub command: String,
+    /// `--help` or `-h` was given: print the usage and do nothing else.
+    pub help: bool,
     positionals: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
@@ -98,7 +100,9 @@ impl Args {
         let mut args = Args::default();
         let mut it = argv.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
+            if a == "--help" || a == "-h" {
+                args.help = true;
+            } else if let Some(name) = a.strip_prefix("--") {
                 if FLAGS.contains(&name) {
                     args.flags.push(name.to_string());
                 } else if OPTIONS.contains(&name) {
@@ -113,11 +117,11 @@ impl Args {
                 args.positionals.push(a.clone());
             }
         }
-        args.command = args
-            .positionals
-            .first()
-            .cloned()
-            .ok_or_else(|| ParseError::new("missing command"))?;
+        match args.positionals.first() {
+            Some(command) => args.command = command.clone(),
+            None if args.help => {}
+            None => return Err(ParseError::new("missing command")),
+        }
         Ok(args)
     }
 
@@ -180,6 +184,17 @@ mod tests {
         assert!(Args::parse(&argv("run --bogus")).is_err());
         assert!(Args::parse(&argv("run --config")).is_err());
         assert!(Args::parse(&argv("")).is_err());
+    }
+
+    #[test]
+    fn help_needs_no_command() {
+        for line in ["--help", "-h", "run art -h", "run --help --tiny"] {
+            assert!(Args::parse(&argv(line)).unwrap().help, "{line}");
+        }
+        // A value that happens to read `-h` is still the option's value.
+        let a = Args::parse(&argv("submit x --addr -h")).unwrap();
+        assert!(!a.help);
+        assert_eq!(a.option("addr").unwrap(), "-h");
     }
 
     #[test]

@@ -90,6 +90,10 @@ plus the full canonical grammar, including the backend axis:
 
 fn run(argv: &[String]) -> Result<(), ParseError> {
     let args = Args::parse(argv)?;
+    if args.help {
+        println!("{}", usage());
+        return Ok(());
+    }
     match args.command.as_str() {
         "list" => cmd_list(),
         "workloads" => cmd_workloads(&args),

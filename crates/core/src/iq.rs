@@ -19,6 +19,7 @@
 //! (see `docs/perf.md`); the selection semantics — oldest satisfied entry
 //! first — are identical to the original map + ordered-set implementation.
 
+use crate::seqindex::{SeqIndex, NIL};
 use crate::types::{PhysReg, Seq, SrcRef};
 use wib_isa::reg::RegClass;
 
@@ -69,9 +70,6 @@ impl IqEntry {
     }
 }
 
-/// Sentinel for "no slot" in the intrusive links and the index table.
-const NIL: u32 = u32::MAX;
-
 /// One arena slot: the entry plus its intrusive ready-list links.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -93,95 +91,6 @@ impl Slot {
             ready: false,
             occupied: false,
         }
-    }
-}
-
-/// Fixed-size open-addressing `Seq -> slot` map: linear probing with
-/// backward-shift deletion (no tombstones), sized to at most 50% load so
-/// probe chains stay short. Never allocates after construction.
-#[derive(Debug, Clone)]
-struct SeqIndex {
-    /// `(seq, slot)`; `slot == NIL` marks an empty cell.
-    table: Vec<(Seq, u32)>,
-    mask: usize,
-}
-
-impl SeqIndex {
-    fn new(slots: usize) -> SeqIndex {
-        let size = (slots * 2).next_power_of_two().max(8);
-        SeqIndex {
-            table: vec![(0, NIL); size],
-            mask: size - 1,
-        }
-    }
-
-    #[inline]
-    fn home(&self, seq: Seq) -> usize {
-        // Fibonacci hashing: multiply spreads consecutive seqs, the high
-        // bits feed the table index.
-        (seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & self.mask
-    }
-
-    fn insert(&mut self, seq: Seq, slot: u32) {
-        let mut i = self.home(seq);
-        while self.table[i].1 != NIL {
-            debug_assert_ne!(self.table[i].0, seq, "duplicate key {seq}");
-            i = (i + 1) & self.mask;
-        }
-        self.table[i] = (seq, slot);
-    }
-
-    fn get(&self, seq: Seq) -> Option<u32> {
-        let mut i = self.home(seq);
-        loop {
-            let (s, slot) = self.table[i];
-            if slot == NIL {
-                return None;
-            }
-            if s == seq {
-                return Some(slot);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn remove(&mut self, seq: Seq) -> Option<u32> {
-        let mut i = self.home(seq);
-        loop {
-            let (s, slot) = self.table[i];
-            if slot == NIL {
-                return None;
-            }
-            if s == seq {
-                break;
-            }
-            i = (i + 1) & self.mask;
-        }
-        let removed = self.table[i].1;
-        // Backward-shift deletion: pull displaced entries into the hole so
-        // every probe chain stays contiguous.
-        let mut j = i;
-        loop {
-            j = (j + 1) & self.mask;
-            if self.table[j].1 == NIL {
-                break;
-            }
-            let k = self.home(self.table[j].0);
-            // Move `j` into the hole unless its home lies cyclically in
-            // (i, j] — in that case the entry is already on its shortest
-            // reachable position.
-            let stuck = if j > i {
-                k > i && k <= j
-            } else {
-                k > i || k <= j
-            };
-            if !stuck {
-                self.table[i] = self.table[j];
-                i = j;
-            }
-        }
-        self.table[i].1 = NIL;
-        Some(removed)
     }
 }
 
@@ -456,7 +365,7 @@ impl IssueQueue {
                 None => return fail(format!("occupied seq {} missing from index", s.seq)),
             }
         }
-        let live_cells = self.index.table.iter().filter(|(_, s)| *s != NIL).count();
+        let live_cells = self.index.live_cells();
         if live_cells != self.len {
             return fail(format!(
                 "index holds {live_cells} live cells, expected {}",

@@ -41,6 +41,7 @@
 //! policy (section 4.4) — are all configurable through
 //! [`config::WibConfig`].
 
+mod calendar;
 pub mod cancel;
 pub mod check;
 pub mod config;
@@ -60,6 +61,7 @@ pub mod regfile;
 pub mod rename;
 pub mod rob;
 pub mod runahead;
+mod seqindex;
 pub mod stats;
 pub mod trace;
 pub mod types;

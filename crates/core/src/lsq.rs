@@ -126,30 +126,44 @@ impl LoadStoreQueue {
         });
     }
 
+    /// Queue position of the load `seq` (both queues are age-ordered, so
+    /// this is a binary search).
+    fn load_pos(&self, seq: Seq) -> Option<usize> {
+        self.loads.binary_search_by_key(&seq, |l| l.seq).ok()
+    }
+
+    /// Queue position of the store `seq`.
+    fn store_pos(&self, seq: Seq) -> Option<usize> {
+        self.stores.binary_search_by_key(&seq, |s| s.seq).ok()
+    }
+
+    /// Number of stores older than `seq`: they occupy `stores[..n]`.
+    fn stores_older_than(&self, seq: Seq) -> usize {
+        self.stores.partition_point(|s| s.seq < seq)
+    }
+
     /// Record a load's effective address (at execute).
     pub fn set_load_addr(&mut self, seq: Seq, addr: u32) {
-        let e = self
-            .loads
-            .iter_mut()
-            .find(|l| l.seq == seq)
-            .expect("load not in queue");
-        e.addr = Some(addr);
+        let i = self.load_pos(seq).expect("load not in queue");
+        self.loads[i].addr = Some(addr);
+    }
+
+    /// The effective address of load `seq`, if it is queued and executed.
+    pub fn load_addr(&self, seq: Seq) -> Option<u32> {
+        self.load_pos(seq).and_then(|i| self.loads[i].addr)
     }
 
     /// Record a store's effective address (at agen). Returns the oldest
     /// *younger* load that already executed and overlaps — an order
     /// violation the core must squash from.
     pub fn set_store_addr(&mut self, seq: Seq, addr: u32) -> Option<Seq> {
-        let e = self
-            .stores
-            .iter_mut()
-            .find(|s| s.seq == seq)
-            .expect("store not in queue");
+        let i = self.store_pos(seq).expect("store not in queue");
+        let e = &mut self.stores[i];
         e.addr = Some(addr);
         let width = e.width;
+        let first_younger = self.loads.partition_point(|l| l.seq <= seq);
         self.loads
-            .iter()
-            .filter(|l| l.seq > seq)
+            .range(first_younger..)
             .filter_map(|l| l.addr.map(|la| (l.seq, la, l.width)))
             .find(|&(_, la, lw)| overlaps(addr, width, la, lw))
             .map(|(s, _, _)| s)
@@ -157,11 +171,8 @@ impl LoadStoreQueue {
 
     /// Record a store's data once the data operand is produced.
     pub fn set_store_data(&mut self, seq: Seq, data: u64) {
-        let e = self
-            .stores
-            .iter_mut()
-            .find(|s| s.seq == seq)
-            .expect("store not in queue");
+        let i = self.store_pos(seq).expect("store not in queue");
+        let e = &mut self.stores[i];
         e.data = data;
         e.data_ready = true;
     }
@@ -169,7 +180,7 @@ impl LoadStoreQueue {
     /// Ask the store queue how the load `seq` at `addr` should obtain its
     /// value. Scans older stores youngest-first.
     pub fn forward_for_load(&self, seq: Seq, addr: u32, width: u32) -> ForwardResult {
-        for s in self.stores.iter().rev().filter(|s| s.seq < seq) {
+        for s in self.stores.range(..self.stores_older_than(seq)).rev() {
             let Some(sa) = s.addr else {
                 // Unresolved older store: speculate past it (the violation
                 // check catches a real conflict later).
@@ -197,12 +208,15 @@ impl LoadStoreQueue {
     /// True if every store older than `seq` has resolved its address
     /// (store-wait gating for loads the predictor marks).
     pub fn older_stores_resolved(&self, seq: Seq) -> bool {
-        self.stores.iter().all(|s| s.seq >= seq || s.addr.is_some())
+        self.stores
+            .range(..self.stores_older_than(seq))
+            .rev()
+            .all(|s| s.addr.is_some())
     }
 
     /// True if the store `seq` is still in the queue (i.e. not committed).
     pub fn store_in_flight(&self, seq: Seq) -> bool {
-        self.stores.iter().any(|s| s.seq == seq)
+        self.store_pos(seq).is_some()
     }
 
     /// Release the head load at commit.
@@ -252,8 +266,8 @@ impl LoadStoreQueue {
     }
 
     /// Machine-check: both queues within capacity and in strict program
-    /// (age) order — forwarding's youngest-first scan and the commit-head
-    /// pops rely on it.
+    /// (age) order — the binary-search lookups, forwarding's youngest-first
+    /// scan and the commit-head pops rely on it.
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail = |msg: String| Err(format!("lsq: {msg}"));
         if self.loads.len() > self.lq_capacity {
@@ -481,6 +495,147 @@ mod tests {
         q.pop_load(2);
         assert_eq!(q.lq_free(), 8);
         assert!(!q.store_in_flight(1));
+    }
+
+    /// The linear scans the binary-searched lookups replaced, kept as
+    /// the reference model.
+    #[derive(Default)]
+    struct LinearModel {
+        loads: Vec<LoadEntry>,
+        stores: Vec<StoreEntry>,
+    }
+
+    impl LinearModel {
+        fn set_store_addr(&mut self, seq: Seq, addr: u32) -> Option<Seq> {
+            let e = self.stores.iter_mut().find(|s| s.seq == seq).unwrap();
+            e.addr = Some(addr);
+            let width = e.width;
+            self.loads
+                .iter()
+                .filter(|l| l.seq > seq)
+                .filter_map(|l| l.addr.map(|la| (l.seq, la, l.width)))
+                .find(|&(_, la, lw)| overlaps(addr, width, la, lw))
+                .map(|(s, _, _)| s)
+        }
+
+        fn forward_for_load(&self, seq: Seq, addr: u32, width: u32) -> ForwardResult {
+            for s in self.stores.iter().rev().filter(|s| s.seq < seq) {
+                let Some(sa) = s.addr else { continue };
+                if !overlaps(sa, s.width, addr, width) {
+                    continue;
+                }
+                if covers(sa, s.width, addr, width) && s.data_ready {
+                    let bits = s.data >> ((addr - sa) * 8);
+                    let bits = if width >= 8 {
+                        bits
+                    } else {
+                        bits & ((1u64 << (width * 8)) - 1)
+                    };
+                    return ForwardResult::Forward(s.seq, bits);
+                }
+                return ForwardResult::BlockedOn(s.seq);
+            }
+            ForwardResult::FromMemory
+        }
+
+        fn older_stores_resolved(&self, seq: Seq) -> bool {
+            self.stores.iter().all(|s| s.seq >= seq || s.addr.is_some())
+        }
+    }
+
+    /// Random dispatch / execute / commit / squash traffic: every lookup
+    /// must agree with the linear model.
+    #[test]
+    fn binary_search_matches_linear_scans() {
+        use wib_rng::StdRng;
+        for seed in 0..10 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q = LoadStoreQueue::new(24, 16);
+            let mut m = LinearModel::default();
+            let mut next_seq = 0;
+            let addr = |rng: &mut StdRng| 0x100 + rng.random_range(0..24u32);
+            let width = |rng: &mut StdRng| [1, 4, 8][rng.random_range(0..3usize)];
+            for _ in 0..4_000 {
+                next_seq += rng.random_range(1..3u64);
+                let seq = next_seq;
+                match rng.random_range(0..12u64) {
+                    0..=2 if q.lq_free() > 0 => {
+                        let w = width(&mut rng);
+                        q.push_load(seq, w);
+                        m.loads.push(LoadEntry {
+                            seq,
+                            addr: None,
+                            width: w,
+                        });
+                    }
+                    3..=4 if q.sq_free() > 0 => {
+                        let w = width(&mut rng);
+                        q.push_store(seq, w);
+                        m.stores.push(StoreEntry {
+                            seq,
+                            addr: None,
+                            width: w,
+                            data: 0,
+                            data_ready: false,
+                        });
+                    }
+                    5 if !m.loads.is_empty() => {
+                        let i = rng.random_range(0..m.loads.len());
+                        let a = addr(&mut rng);
+                        q.set_load_addr(m.loads[i].seq, a);
+                        m.loads[i].addr = Some(a);
+                    }
+                    6 if !m.stores.is_empty() => {
+                        let i = rng.random_range(0..m.stores.len());
+                        let (s, a) = (m.stores[i].seq, addr(&mut rng));
+                        assert_eq!(q.set_store_addr(s, a), m.set_store_addr(s, a));
+                    }
+                    7 if !m.stores.is_empty() => {
+                        let i = rng.random_range(0..m.stores.len());
+                        let d = rng.next_u64();
+                        q.set_store_data(m.stores[i].seq, d);
+                        m.stores[i].data = d;
+                        m.stores[i].data_ready = true;
+                    }
+                    8 if m.loads.first().is_some_and(|l| l.addr.is_some()) => {
+                        q.pop_load(m.loads.remove(0).seq);
+                    }
+                    9 if m.stores.first().is_some_and(|s| s.data_ready) => {
+                        let s = m.stores.remove(0);
+                        assert_eq!(q.pop_store(s.seq).addr, s.addr);
+                    }
+                    10 => {
+                        let from = rng.random_range(0..next_seq + 1);
+                        q.squash_from(from);
+                        m.loads.retain(|l| l.seq < from);
+                        m.stores.retain(|s| s.seq < from);
+                    }
+                    _ => {}
+                }
+                for _ in 0..4 {
+                    let probe = rng.random_range(0..next_seq + 2);
+                    let (a, w) = (addr(&mut rng), width(&mut rng));
+                    assert_eq!(
+                        q.forward_for_load(probe, a, w),
+                        m.forward_for_load(probe, a, w),
+                        "seed {seed}"
+                    );
+                    assert_eq!(
+                        q.older_stores_resolved(probe),
+                        m.older_stores_resolved(probe)
+                    );
+                    assert_eq!(
+                        q.store_in_flight(probe),
+                        m.stores.iter().any(|s| s.seq == probe)
+                    );
+                    assert_eq!(
+                        q.load_addr(probe),
+                        m.loads.iter().find(|l| l.seq == probe).and_then(|l| l.addr)
+                    );
+                }
+                q.check_invariants().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! lockstep with commit and cross-checks every PC and destination value —
 //! the integration test suite runs every configuration with it enabled.
 
+use crate::calendar::CalendarQueue;
 use crate::cancel::CancelToken;
 use crate::config::{Backend, MachineConfig, RegFileConfig, WibOrganization, WibTrigger};
 use crate::cpi::CpiCategory;
@@ -30,8 +31,7 @@ use crate::stats::{IntervalSample, SimStats};
 use crate::trace::{InstTrace, Trace};
 use crate::types::{PhysReg, Seq, SrcRef};
 use crate::window::Window;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use wib_bpred::btb::Btb;
 use wib_bpred::dir::CombinedPredictor;
 use wib_bpred::ras::Ras;
@@ -286,38 +286,6 @@ struct Fetched {
     ras_before: wib_bpred::ras::RasCheckpoint,
 }
 
-/// One scheduled pipeline event. Orders by `(at, order)` where `order` is
-/// a monotone insertion counter, so a min-heap pops events in exactly the
-/// sequence the old `BTreeMap<u64, Vec<Event>>` produced (ascending cycle,
-/// insertion order within a cycle) without allocating a map node and a
-/// vector per busy cycle.
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    at: u64,
-    order: u64,
-    ev: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.at == other.at && self.order == other.order
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
-        (self.at, self.order).cmp(&(other.at, other.order))
-    }
-}
-
 /// Cycles a committed-store retry or forwarding hit takes to deliver data.
 const FORWARD_LATENCY: u64 = 2;
 
@@ -356,13 +324,11 @@ struct Engine<'c> {
     /// register (0 = no prediction). Sized only for the delay backend.
     delay_hint_int: Vec<u64>,
     delay_hint_fp: Vec<u64>,
-    events: BinaryHeap<Reverse<Scheduled>>,
-    event_order: u64,
+    events: CalendarQueue<Event>,
     fetch_pc: u32,
     fetch_resume_at: u64,
     fetch_halted: bool,
     ifq: VecDeque<Fetched>,
-    pending_load_values: HashMap<Seq, u64>,
     /// Loads blocked on a partially overlapping older store: retried when
     /// that store commits.
     blocked_loads: Vec<(Seq, Seq)>,
@@ -379,10 +345,6 @@ struct Engine<'c> {
     recovery_until: u64,
     interval_committed_mark: u64,
     last_commit_cycle: u64,
-    /// `WIB_TRACE` was set at construction. Hoisted so the cycle loop
-    /// never touches the environment (an `env::var` per cycle locks and
-    /// allocates).
-    debug_trace: bool,
     /// Run the machine-check invariants every cycle (see [`crate::check`]).
     /// Forced on by the `checked` cargo feature.
     machine_check: bool,
@@ -487,13 +449,11 @@ impl<'c> Engine<'c> {
             delayq,
             delay_hint_int: delay_hints.clone(),
             delay_hint_fp: delay_hints,
-            events: BinaryHeap::with_capacity(256),
-            event_order: 0,
+            events: CalendarQueue::new(),
             fetch_pc: program.entry,
             fetch_resume_at: 0,
             fetch_halted: false,
             ifq: VecDeque::new(),
-            pending_load_values: HashMap::new(),
             blocked_loads: Vec::new(),
             halted: false,
             stats: SimStats {
@@ -512,7 +472,6 @@ impl<'c> Engine<'c> {
             recovery_until: 0,
             interval_committed_mark: 0,
             last_commit_cycle: 0,
-            debug_trace: std::env::var("WIB_TRACE").is_ok(),
             machine_check: false,
             no_skip: false,
             cancel: None,
@@ -590,6 +549,9 @@ impl<'c> Engine<'c> {
             }
         }
         self.hier.reset_stats();
+        // The program ended inside the warm-up: there is nothing left to
+        // simulate, so the run reports a halted, empty result.
+        self.halted = interp.is_halted();
         // Seed architectural state.
         self.mem = interp.memory().clone();
         self.fetch_pc = interp.pc();
@@ -650,12 +612,7 @@ impl<'c> Engine<'c> {
 
     fn schedule(&mut self, at: u64, ev: Event) {
         debug_assert!(at > self.now);
-        self.event_order += 1;
-        self.events.push(Reverse(Scheduled {
-            at,
-            order: self.event_order,
-            ev,
-        }));
+        self.events.push(at, ev);
     }
 
     /// Raw bits of a source operand (0 for absent operands).
@@ -1198,6 +1155,7 @@ impl<'c> Engine<'c> {
                 miss_column: None,
                 miss_kind: None,
                 data_ready_at: 0,
+                load_value: None,
                 in_lq: f.inst.is_load(),
                 in_sq: f.inst.is_store(),
                 dir_wrong: false,
@@ -1319,9 +1277,7 @@ impl<'c> Engine<'c> {
             let width = le.inst.mem_width();
             let addr = self
                 .lsq
-                .loads()
-                .find(|l| l.seq == load_seq)
-                .and_then(|l| l.addr)
+                .load_addr(load_seq)
                 .expect("blocked load has an address");
             self.try_load_data(load_seq, addr, width);
         }
@@ -1565,12 +1521,8 @@ impl<'c> Engine<'c> {
     // ------------------------------------------------------------------
 
     fn drain_events(&mut self) {
-        while let Some(Reverse(next)) = self.events.peek() {
-            if next.at > self.now {
-                break;
-            }
-            let Reverse(s) = self.events.pop().expect("peeked");
-            match s.ev {
+        while let Some(ev) = self.events.pop_due(self.now) {
+            match ev {
                 Event::Complete(seq) => self.handle_complete(seq),
                 Event::LoadAddr(seq) => self.handle_load_addr(seq),
                 Event::LoadData(seq) => self.handle_load_data(seq),
@@ -1745,7 +1697,7 @@ impl<'c> Engine<'c> {
         }
         match self.lsq.forward_for_load(seq, addr, width) {
             ForwardResult::Forward(_, bits) => {
-                self.pending_load_values.insert(seq, bits);
+                self.set_load_value(seq, bits);
                 self.schedule(self.now + FORWARD_LATENCY, Event::LoadData(seq));
             }
             ForwardResult::BlockedOn(store_seq) => {
@@ -1761,10 +1713,10 @@ impl<'c> Engine<'c> {
             ForwardResult::FromMemory => {
                 let access = self.hier.data_access(addr, AccessKind::Read, self.now);
                 let value = self.mem.read_bits(addr, width);
-                self.pending_load_values.insert(seq, value);
                 let arrive = access.ready_at.max(self.now + 1);
                 self.schedule(arrive, Event::LoadData(seq));
                 if let Some(e) = self.rob.get_mut(seq) {
+                    e.load_value = Some(value);
                     e.data_ready_at = arrive;
                 }
                 // The "load miss" signal is latency-based, like the
@@ -1837,7 +1789,7 @@ impl<'c> Engine<'c> {
                 {
                     return self.ra_inv_load(seq);
                 }
-                self.pending_load_values.insert(seq, bits);
+                self.set_load_value(seq, bits);
                 self.schedule(self.now + FORWARD_LATENCY, Event::LoadData(seq));
             }
             ForwardResult::BlockedOn(_) => {
@@ -1862,7 +1814,7 @@ impl<'c> Engine<'c> {
                 }
                 let ra = self.ra.as_ref().expect("in an episode");
                 let value = ra.overlay_read(&self.mem, addr, width);
-                self.pending_load_values.insert(seq, value);
+                self.set_load_value(seq, value);
                 self.schedule(access.ready_at.max(self.now + 1), Event::LoadData(seq));
             }
         }
@@ -1878,8 +1830,15 @@ impl<'c> Engine<'c> {
                 .poison
                 .set(arch.class(), p, true);
         }
-        self.pending_load_values.insert(seq, 0);
+        self.set_load_value(seq, 0);
         self.schedule(self.now + 1, Event::LoadData(seq));
+    }
+
+    /// Stage the value load `seq`'s next `LoadData` event delivers.
+    fn set_load_value(&mut self, seq: Seq, value: u64) {
+        if let Some(e) = self.rob.get_mut(seq) {
+            e.load_value = Some(value);
+        }
     }
 
     /// Allocate a bit-vector column for load `seq` and set the wait bit on
@@ -1904,10 +1863,10 @@ impl<'c> Engine<'c> {
     }
 
     fn handle_load_data(&mut self, seq: Seq) {
-        let Some(value) = self.pending_load_values.remove(&seq) else {
+        let Some(e) = self.rob.get_mut(seq) else {
             return;
         };
-        let Some(e) = self.rob.get_mut(seq) else {
+        let Some(value) = e.load_value.take() else {
             return;
         };
         e.completed = true;
@@ -2001,7 +1960,6 @@ impl<'c> Engine<'c> {
         self.scratch_cols = squashed_cols;
         self.scratch_undo = undo;
         self.lsq.squash_from(from);
-        self.pending_load_values.retain(|&s, _| s < from);
         self.blocked_loads.retain(|&(l, _)| l < from);
         if let Some(ra) = self.ra.as_mut() {
             ra.poisoned_stores.retain(|&s| s < from);
@@ -2182,7 +2140,6 @@ impl<'c> Engine<'c> {
         // keep their runahead training — that is the whole benefit.
         self.events.clear();
         self.ifq.clear();
-        self.pending_load_values.clear();
         self.blocked_loads.clear();
         self.lsq = LoadStoreQueue::new(self.cfg.load_queue as usize, self.cfg.store_queue as usize);
         self.rob = ActiveList::new_resuming(self.cfg.active_list as usize, self.rob.next_seq());
@@ -2276,7 +2233,7 @@ impl<'c> Engine<'c> {
     /// watchdog deadline, the run limit (`budget`), or a stats-epoch
     /// boundary (the run loop samples an interval exactly there).
     fn try_skip(&mut self, budget: u64) -> u64 {
-        if self.debug_trace || self.no_skip || self.halted {
+        if self.no_skip || self.halted {
             return 0;
         }
         // Runahead is never quiescent under a miss — the stall is exactly
@@ -2295,13 +2252,13 @@ impl<'c> Engine<'c> {
         let head_miss = head.miss_kind;
         // No event due this cycle; with *no* event pending at all the
         // machine is wedged, which the watchdog should report normally.
-        let Some(Reverse(next_ev)) = self.events.peek() else {
+        let Some(next_at) = self.events.next_at() else {
             return 0;
         };
-        if next_ev.at <= self.now {
+        if next_at <= self.now {
             return 0;
         }
-        let mut cap = next_ev.at - self.now;
+        let mut cap = next_at - self.now;
         // Issue is a no-op: nothing selectable, nothing extractable.
         if self.iq_int.has_ready() || self.iq_fp.has_ready() {
             return 0;
@@ -2397,36 +2354,6 @@ impl<'c> Engine<'c> {
     }
 
     fn step(&mut self) {
-        if self.debug_trace && self.now == 20_000 {
-            eprintln!(
-                "cyc {}: iqi={} iqf={} rob={} wib={:?}",
-                self.now,
-                self.iq_int.len(),
-                self.iq_fp.len(),
-                self.rob.len(),
-                self.wib.as_ref().map(Window::resident)
-            );
-            for (name, q) in [("int", &self.iq_int), ("fp", &self.iq_fp)] {
-                for (seq, e) in q.dump().into_iter().take(40) {
-                    let rob = self.rob.get(seq);
-                    eprintln!(
-                        "  {name} {seq} {:?} sat={} pret={} srcs={:?} rf={:?}",
-                        rob.map(|r| r.inst.to_string()),
-                        e.is_satisfied(),
-                        e.is_pretend(),
-                        e.srcs,
-                        e.srcs
-                            .iter()
-                            .flatten()
-                            .map(|(s, _)| (
-                                self.rf(s.class).is_ready(s.preg),
-                                self.rf(s.class).wait_column(s.preg)
-                            ))
-                            .collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
         // Stage profiling samples one cycle in PROFILE_SAMPLE_PERIOD: a
         // monotonic-clock lap after each stage, nothing on the other 1023
         // cycles (the mask test and a dead branch). No allocation either

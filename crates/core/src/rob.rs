@@ -7,6 +7,7 @@
 //! the instruction's WIB entry, mirroring the paper's rule that WIB
 //! entries are allocated in lockstep with active-list entries.
 
+use crate::seqindex::SeqIndex;
 use crate::types::{ColumnId, PhysReg, Seq, SrcRef};
 use std::collections::VecDeque;
 use wib_bpred::dir::BranchCheckpoint;
@@ -71,6 +72,9 @@ pub struct RobEntry {
     /// data arrives (0 until known). Runahead uses the head load's value
     /// to decide whether an episode is worth the pipeline restart.
     pub data_ready_at: u64,
+    /// For loads: the value the next `LoadData` event delivers, set when
+    /// the access (or forwarding) is started and taken by that event.
+    pub load_value: Option<u64>,
     /// Occupies a load-queue entry.
     pub in_lq: bool,
     /// Occupies a store-queue entry.
@@ -99,14 +103,24 @@ pub struct RobEntry {
 #[derive(Debug, Clone)]
 pub struct ActiveList {
     entries: VecDeque<RobEntry>,
-    /// Parallel ring of the entries' sequence numbers. Lookups binary
-    /// search this dense 8-byte-per-entry ring instead of striding over
-    /// the (much larger) `RobEntry` structs — the whole ring stays
-    /// cache-resident even for a 2048-entry window.
-    seqs: VecDeque<Seq>,
+    /// `seq -> slot` for every live entry. A slot is the entry's circular
+    /// position from `head_slot`, so a lookup is one hash probe plus a
+    /// wrap, whatever gaps squashes left in the seq stream.
+    index: SeqIndex,
     size: usize,
     head_slot: usize,
     next_seq: Seq,
+}
+
+/// `a + b` modulo `size`, for `a < size` and `b <= size` (no division).
+#[inline]
+fn wrap_add(a: usize, b: usize, size: usize) -> usize {
+    let s = a + b;
+    if s >= size {
+        s - size
+    } else {
+        s
+    }
 }
 
 impl ActiveList {
@@ -114,7 +128,7 @@ impl ActiveList {
     pub fn new(size: usize) -> ActiveList {
         ActiveList {
             entries: VecDeque::with_capacity(size),
-            seqs: VecDeque::with_capacity(size),
+            index: SeqIndex::new(size),
             size,
             head_slot: 0,
             next_seq: 0,
@@ -159,7 +173,7 @@ impl ActiveList {
 
     /// Slot the next dispatched instruction will occupy (its WIB entry).
     pub fn next_slot(&self) -> usize {
-        (self.head_slot + self.entries.len()) % self.size
+        wrap_add(self.head_slot, self.entries.len(), self.size)
     }
 
     /// Append an entry at the tail. The caller must have filled `seq` and
@@ -171,36 +185,15 @@ impl ActiveList {
         assert!(self.free_slots() > 0, "active list overflow");
         assert_eq!(entry.seq, self.next_seq, "out-of-order dispatch");
         assert_eq!(entry.slot, self.next_slot(), "slot mismatch");
-        self.seqs.push_back(entry.seq);
+        self.index.insert(entry.seq, entry.slot as u32);
         self.entries.push_back(entry);
         self.next_seq += 1;
     }
 
+    #[inline]
     fn index_of(&self, seq: Seq) -> Option<usize> {
-        // Sequence numbers are strictly increasing but *not* contiguous:
-        // a squash removes a tail range while later dispatches continue
-        // with fresh numbers. Gaps only ever push an entry *left* of its
-        // no-squash position, so `seq - head_seq` bounds the search from
-        // above.
-        let &head = self.seqs.front()?;
-        if seq < head {
-            return None;
-        }
-        let hi = (((seq - head) as usize) + 1).min(self.seqs.len());
-        // Common case: no squash gap in range — the entry sits exactly at
-        // its dense offset.
-        if self.seqs[hi - 1] == seq {
-            return Some(hi - 1);
-        }
-        let (front, back) = self.seqs.as_slices();
-        if hi <= front.len() {
-            front[..hi].binary_search(&seq).ok()
-        } else {
-            match back[..hi - front.len()].binary_search(&seq) {
-                Ok(i) => Some(front.len() + i),
-                Err(_) => front[..front.len()].binary_search(&seq).ok(),
-            }
-        }
+        let slot = self.index.get(seq)? as usize;
+        Some(wrap_add(slot, self.size - self.head_slot, self.size))
     }
 
     /// The oldest in-flight instruction.
@@ -228,8 +221,8 @@ impl ActiveList {
             .entries
             .pop_front()
             .expect("pop from empty active list");
-        self.seqs.pop_front();
-        self.head_slot = (self.head_slot + 1) % self.size;
+        self.index.remove(e.seq);
+        self.head_slot = wrap_add(self.head_slot, 1, self.size);
         e
     }
 
@@ -238,8 +231,9 @@ impl ActiveList {
     /// numbers are *not* reused; slots are.
     pub fn squash_from<F: FnMut(RobEntry)>(&mut self, from: Seq, mut undo: F) {
         while self.entries.back().is_some_and(|e| e.seq >= from) {
-            self.seqs.pop_back();
-            undo(self.entries.pop_back().expect("nonempty"));
+            let e = self.entries.pop_back().expect("nonempty");
+            self.index.remove(e.seq);
+            undo(e);
         }
     }
 
@@ -248,19 +242,11 @@ impl ActiveList {
         self.entries.iter()
     }
 
-    /// Machine-check: verify the seq ring mirrors the entries, sequence
-    /// numbers are strictly increasing (the binary-search lookup and the
-    /// dense-offset fast path both depend on it), and slots advance
-    /// circularly from the head.
+    /// Machine-check: verify the seq index resolves exactly the live
+    /// entries, sequence numbers are strictly increasing, and slots advance
+    /// circularly from the head (the index-to-position wrap depends on it).
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail = |msg: String| Err(format!("active-list: {msg}"));
-        if self.seqs.len() != self.entries.len() {
-            return fail(format!(
-                "seq ring len {} != entries {}",
-                self.seqs.len(),
-                self.entries.len()
-            ));
-        }
         if self.entries.len() > self.size {
             return fail(format!(
                 "len {} exceeds size {}",
@@ -268,14 +254,15 @@ impl ActiveList {
                 self.size
             ));
         }
+        let live = self.index.live_cells();
+        if live != self.entries.len() {
+            return fail(format!(
+                "seq index holds {live} entries, expected {}",
+                self.entries.len()
+            ));
+        }
         let mut prev: Option<Seq> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            if self.seqs[i] != e.seq {
-                return fail(format!(
-                    "seq ring [{i}] = {} != entry {}",
-                    self.seqs[i], e.seq
-                ));
-            }
             if let Some(p) = prev {
                 if e.seq <= p {
                     return fail(format!("seqs not strictly increasing at {}", e.seq));
@@ -289,10 +276,16 @@ impl ActiveList {
                     e.seq, e.slot
                 ));
             }
+            if self.index_of(e.seq) != Some(i) {
+                return fail(format!("seq index does not resolve seq {} to {i}", e.seq));
+            }
         }
-        if let Some(&back) = self.seqs.back() {
-            if self.next_seq <= back {
-                return fail(format!("next_seq {} not past tail {back}", self.next_seq));
+        if let Some(back) = self.entries.back() {
+            if self.next_seq <= back.seq {
+                return fail(format!(
+                    "next_seq {} not past tail {}",
+                    self.next_seq, back.seq
+                ));
             }
         }
         Ok(())
@@ -319,6 +312,7 @@ mod tests {
             miss_column: None,
             miss_kind: None,
             data_ready_at: 0,
+            load_value: None,
             in_lq: false,
             in_sq: false,
             dir_wrong: false,
@@ -397,6 +391,87 @@ mod tests {
         al.get_mut(2).unwrap().completed = true;
         assert!(al.get(2).unwrap().completed);
         assert!(!al.get(1).unwrap().completed);
+    }
+
+    #[test]
+    fn lookups_survive_squash_gaps_and_slot_wrap() {
+        let mut al = ActiveList::new(4);
+        for _ in 0..3 {
+            al.push(entry(&al));
+        }
+        al.squash_from(1, |_| {}); // seqs 1, 2 gone; slots 1, 2 reused
+        al.push(entry(&al)); // seq 3, slot 1
+        al.pop_head(); // seq 0 commits; head slot 1
+        for _ in 0..3 {
+            al.push(entry(&al)); // seqs 4, 5, 6 in slots 2, 3, 0
+        }
+        let live: Vec<_> = (0..8)
+            .filter_map(|seq| al.get(seq))
+            .map(|e| (e.seq, e.slot))
+            .collect();
+        assert_eq!(live, [(3, 1), (4, 2), (5, 3), (6, 0)]);
+        al.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn resuming_list_starts_empty_and_keeps_old_seqs_dead() {
+        let mut al = ActiveList::new(4);
+        for _ in 0..3 {
+            al.push(entry(&al));
+        }
+        let mut al = ActiveList::new_resuming(4, al.next_seq());
+        assert!(al.is_empty() && al.get(0).is_none() && al.get(2).is_none());
+        let e = entry(&al);
+        assert_eq!((e.seq, e.slot), (3, 0));
+        al.push(e);
+        assert_eq!(al.get(3).unwrap().slot, 0);
+        assert!(al.get(2).is_none());
+        al.check_invariants().unwrap();
+    }
+
+    /// Random dispatch / commit / squash / resume traffic against a plain
+    /// vector of `(seq, slot)` resolved by linear search.
+    #[test]
+    fn random_traffic_matches_a_linear_model() {
+        use wib_rng::StdRng;
+        for seed in 0..10 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let size = [1usize, 3, 8, 64][seed as usize % 4];
+            let mut al = ActiveList::new(size);
+            let mut model: Vec<(Seq, usize)> = Vec::new();
+            for _ in 0..5_000 {
+                match rng.random_range(0..10u64) {
+                    0..=4 if al.free_slots() > 0 => {
+                        let e = entry(&al);
+                        model.push((e.seq, e.slot));
+                        al.push(e);
+                    }
+                    5..=7 if !al.is_empty() => {
+                        assert_eq!(al.pop_head().seq, model.remove(0).0);
+                    }
+                    8 => {
+                        let from = rng.random_range(0..al.next_seq() + 1);
+                        let mut gone = Vec::new();
+                        al.squash_from(from, |e| gone.push(e.seq));
+                        let keep = model.iter().take_while(|(s, _)| *s < from).count();
+                        let expect: Vec<Seq> = model.drain(keep..).rev().map(|(s, _)| s).collect();
+                        assert_eq!(gone, expect);
+                    }
+                    9 if rng.random_range(0..20u64) == 0 => {
+                        al = ActiveList::new_resuming(size, al.next_seq());
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                for _ in 0..4 {
+                    let seq = rng.random_range(0..al.next_seq() + 2);
+                    let want = model.iter().find(|(s, _)| *s == seq).copied();
+                    assert_eq!(al.get(seq).map(|e| (e.seq, e.slot)), want, "seed {seed}");
+                }
+                assert_eq!(al.len(), model.len());
+                al.check_invariants().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -82,11 +82,32 @@ pub trait Memory {
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// Address bits resolved by each page-table level: 10 + 10 + 12 = 32.
+const LEVEL_BITS: u32 = 10;
+const LEVEL_SIZE: usize = 1 << LEVEL_BITS;
+
+type Page = [u8; PAGE_SIZE];
+/// A second-level table: 1024 pages (4 MB of address space).
+type PageTable = [Option<Box<Page>>; LEVEL_SIZE];
 
 /// A sparse, paged memory: only touched 4 KB pages are allocated.
-#[derive(Debug, Default, Clone)]
+///
+/// Pages hang off a two-level direct-indexed table (1024 × 1024 × 4 KB
+/// covers the whole 32-bit space), so an access is two array indexations
+/// and no hashing. Second-level tables are allocated on first write.
+#[derive(Debug, Clone)]
 pub struct PagedMemory {
-    pages: std::collections::HashMap<u32, Box<[u8; PAGE_SIZE]>>,
+    dir: Box<[Option<Box<PageTable>>; LEVEL_SIZE]>,
+    pages: usize,
+}
+
+impl Default for PagedMemory {
+    fn default() -> PagedMemory {
+        PagedMemory {
+            dir: Box::new([const { None }; LEVEL_SIZE]),
+            pages: 0,
+        }
+    }
 }
 
 impl PagedMemory {
@@ -97,30 +118,45 @@ impl PagedMemory {
 
     /// Number of 4 KB pages currently allocated.
     pub fn pages_allocated(&self) -> usize {
-        self.pages.len()
+        self.pages
+    }
+
+    /// The page holding `addr`, if it was ever written.
+    #[inline]
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let table = self.dir[(addr >> (PAGE_SHIFT + LEVEL_BITS)) as usize].as_deref()?;
+        table[(addr >> PAGE_SHIFT) as usize & (LEVEL_SIZE - 1)].as_deref()
+    }
+
+    /// The page holding `addr`, allocated (zero-filled) on first touch.
+    #[inline]
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let table = self.dir[(addr >> (PAGE_SHIFT + LEVEL_BITS)) as usize]
+            .get_or_insert_with(|| Box::new([const { None }; LEVEL_SIZE]));
+        let slot = &mut table[(addr >> PAGE_SHIFT) as usize & (LEVEL_SIZE - 1)];
+        if slot.is_none() {
+            self.pages += 1;
+        }
+        slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 }
 
 impl Memory for PagedMemory {
     fn read_u8(&self, addr: u32) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
+        match self.page(addr) {
             Some(page) => page[(addr as usize) & (PAGE_SIZE - 1)],
             None => 0,
         }
     }
 
     fn write_u8(&mut self, addr: u32, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+        self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = value;
     }
 
     fn read_u32(&self, addr: u32) -> u32 {
         // Fast path for the overwhelmingly common aligned in-page case.
         if addr & 3 == 0 {
-            if let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+            if let Some(page) = self.page(addr) {
                 let off = (addr as usize) & (PAGE_SIZE - 1);
                 return u32::from_le_bytes(page[off..off + 4].try_into().unwrap());
             }
@@ -137,10 +173,7 @@ impl Memory for PagedMemory {
         // One page-table lookup for the aligned in-page case instead of
         // four (every committed store lands here via `write_bits`).
         if addr & 3 == 0 {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let page = self.page_mut(addr);
             let off = (addr as usize) & (PAGE_SIZE - 1);
             page[off..off + 4].copy_from_slice(&value.to_le_bytes());
             return;
@@ -152,7 +185,7 @@ impl Memory for PagedMemory {
 
     fn read_u64(&self, addr: u32) -> u64 {
         if addr & 7 == 0 {
-            if let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) {
+            if let Some(page) = self.page(addr) {
                 let off = (addr as usize) & (PAGE_SIZE - 1);
                 return u64::from_le_bytes(page[off..off + 8].try_into().unwrap());
             }
@@ -165,10 +198,7 @@ impl Memory for PagedMemory {
 
     fn write_u64(&mut self, addr: u32, value: u64) {
         if addr & 7 == 0 {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let page = self.page_mut(addr);
             let off = (addr as usize) & (PAGE_SIZE - 1);
             page[off..off + 8].copy_from_slice(&value.to_le_bytes());
             return;
@@ -184,11 +214,7 @@ impl Memory for PagedMemory {
             let a = addr.wrapping_add(off as u32);
             let start = (a as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - start).min(bytes.len() - off);
-            let page = self
-                .pages
-                .entry(a >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[start..start + n].copy_from_slice(&bytes[off..off + n]);
+            self.page_mut(a)[start..start + n].copy_from_slice(&bytes[off..off + n]);
             off += n;
         }
     }
@@ -234,6 +260,77 @@ mod tests {
         m.write_bits(0x200, 8, u64::MAX);
         assert_eq!(m.read_bits(0x200, 8), u64::MAX);
         assert_eq!(m.read_bits(0x200, 4), 0xffff_ffff);
+    }
+
+    #[test]
+    fn top_page_and_table_edges() {
+        let mut m = PagedMemory::new();
+        m.write_u64(0xFFFF_F000, 0x0102_0304_0506_0708);
+        m.write_u8(0xFFFF_FFFF, 0xee);
+        assert_eq!(m.read_u64(0xFFFF_F000), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u8(0xFFFF_FFFF), 0xee);
+        assert_eq!(m.read_u8(0xFFFF_EFFF), 0); // page below: never written
+        assert_eq!(m.pages_allocated(), 1);
+        // Straddle a second-level table boundary (4 MB).
+        m.write_u64(0x003F_FFFC, u64::MAX);
+        assert_eq!(m.read_u64(0x003F_FFFC), u64::MAX);
+        assert_eq!(m.read_u32(0x0040_0000), u32::MAX);
+        assert_eq!(m.pages_allocated(), 3);
+        // Reads never allocate; rewrites reuse the page.
+        m.read_u64(0x8000_0000);
+        m.write_u8(0x0040_0abc, 1);
+        assert_eq!(m.pages_allocated(), 3);
+    }
+
+    #[test]
+    fn wrapping_block_write_and_clone_are_deep() {
+        let mut m = PagedMemory::new();
+        m.write_block(0xFFFF_FFFE, &[1, 2, 3, 4]);
+        assert_eq!(m.read_u32(0xFFFF_FFFE), 0x0403_0201);
+        assert_eq!(m.read_u8(1), 4);
+        assert_eq!(m.pages_allocated(), 2);
+        let copy = m.clone();
+        m.write_u8(0, 9);
+        assert_eq!(copy.read_u8(0), 3);
+        assert_eq!(copy.pages_allocated(), 2);
+    }
+
+    /// Random mixed-width traffic against a byte map.
+    #[test]
+    fn random_accesses_match_a_byte_map() {
+        use std::collections::HashMap;
+        let mut m = PagedMemory::new();
+        let mut model: HashMap<u32, u8> = HashMap::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let bases = [0u32, 0x1000_0ff8, 0x7fff_fffa, 0xFFFF_FFF9];
+        for _ in 0..20_000 {
+            let r = next();
+            let addr = bases[(r % 4) as usize].wrapping_add((r >> 8) as u32 % 24);
+            let width = [1, 4, 8][(r >> 40) as usize % 3];
+            if r >> 63 == 1 {
+                let bits = next();
+                m.write_bits(addr, width, bits);
+                for i in 0..width {
+                    model.insert(addr.wrapping_add(i), (bits >> (8 * i)) as u8);
+                }
+            } else {
+                let want = (0..width).fold(0u64, |acc, i| {
+                    let b = model.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+                    acc | (b as u64) << (8 * i)
+                });
+                assert_eq!(m.read_bits(addr, width), want, "{addr:#x}/{width}");
+            }
+        }
+        let mut pages: Vec<u32> = model.keys().map(|a| a >> PAGE_SHIFT).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        assert_eq!(m.pages_allocated(), pages.len());
     }
 
     #[test]

@@ -12,6 +12,39 @@
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
 use crate::tlb::{Tlb, TlbConfig};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hasher for the `u32` line addresses keying the MSHR
+/// table: one multiply instead of SipHash. The product's high half is
+/// folded into the low bits so line-aligned keys (low bits all zero)
+/// still spread across buckets. It gives up SipHash's resistance to
+/// crafted collisions, which costs little here: the table only holds
+/// fills in flight, and the periodic sweep keeps it small.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = m ^ (m >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LineMap = HashMap<u32, u64, BuildHasherDefault<LineHasher>>;
 
 /// Configuration of the whole hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +152,7 @@ pub struct MemoryHierarchy {
     /// removes them, so the per-access path never scans the table. Every
     /// read goes through [`MemoryHierarchy::live_fill`], which filters
     /// stale entries by comparing against `now`.
-    inflight: HashMap<u32, u64>,
+    inflight: LineMap,
     /// Accesses since the last stale-fill sweep.
     accesses_since_drain: u32,
     stats: HierStats,
@@ -135,7 +168,7 @@ impl MemoryHierarchy {
             itlb: Tlb::new(cfg.itlb),
             dtlb: Tlb::new(cfg.dtlb),
             mem_latency: cfg.mem_latency,
-            inflight: HashMap::new(),
+            inflight: LineMap::default(),
             accesses_since_drain: 0,
             stats: HierStats::default(),
         }
@@ -198,6 +231,9 @@ impl MemoryHierarchy {
         self.maybe_drain(now);
         let tlb_extra = self.itlb.translate(pc);
         let line = self.l1i.line_addr(pc);
+        // One lookup serves the whole access: a fill inserted below ends
+        // at this access's own ready time, so merging with it is a no-op.
+        let fill = self.live_fill(line, now);
         let l1 = self.l1i.access(pc, AccessKind::Read);
         let base_ready = if l1.hit {
             now + self.l1i.config().hit_latency
@@ -209,7 +245,7 @@ impl MemoryHierarchy {
             } else {
                 self.stats.l2_misses += 1;
                 let ready = now + self.mem_latency;
-                if self.live_fill(line, now).is_none() {
+                if fill.is_none() {
                     // Overwrites a stale (completed) fill, if any; a live
                     // one is kept, matching the old `or_insert`.
                     self.inflight.insert(line, ready);
@@ -217,8 +253,7 @@ impl MemoryHierarchy {
                 ready
             }
         };
-        let merged = self.live_fill(line, now).unwrap_or(0);
-        base_ready.max(merged) + tlb_extra
+        base_ready.max(fill.unwrap_or(0)) + tlb_extra
     }
 
     /// Perform a data access (load or store) at cycle `now`.
@@ -230,6 +265,7 @@ impl MemoryHierarchy {
         self.stats.data_accesses += 1;
         let tlb_extra = self.dtlb.translate(addr);
         let line = self.l1d.line_addr(addr);
+        let fill = self.live_fill(line, now);
         let l1 = self.l1d.access(addr, kind);
         let mut to_memory = false;
         let mut mshr_merged = false;
@@ -243,7 +279,7 @@ impl MemoryHierarchy {
                 now + self.l2.config().hit_latency
             } else {
                 self.stats.l2_misses += 1;
-                match self.live_fill(line, now) {
+                match fill {
                     Some(ready) => {
                         // A fill for this line is already on its way.
                         self.stats.mshr_merges += 1;
@@ -262,8 +298,7 @@ impl MemoryHierarchy {
             }
         };
         // Even an L1 "hit" on a line still in flight waits for the fill.
-        let merged = self.live_fill(line, now).unwrap_or(0);
-        let ready_at = base_ready.max(merged) + tlb_extra;
+        let ready_at = base_ready.max(fill.unwrap_or(0)) + tlb_extra;
         DataAccess {
             ready_at,
             l1_hit: l1.hit,

@@ -11,6 +11,7 @@
 
 use crate::gen::{rng, Heap, STACK_TOP};
 use crate::{Suite, Workload};
+use std::collections::VecDeque;
 use wib_isa::asm::ProgramBuilder;
 use wib_isa::reg::*;
 
@@ -112,9 +113,11 @@ pub fn perimeter(max_nodes: u32, repeats: u32) -> Workload {
     // children[i] == u32::MAX means "not yet decided".
     let mut children: Vec<[u32; 4]> = vec![[u32::MAX; 4]];
     let mut is_leaf: Vec<bool> = vec![false];
-    let mut frontier = vec![0u32];
-    while !frontier.is_empty() && (children.len() as u32) < max_nodes {
-        let node = frontier.remove(0) as usize;
+    let mut frontier = VecDeque::from([0u32]);
+    while (children.len() as u32) < max_nodes {
+        let Some(node) = frontier.pop_front() else {
+            break;
+        };
         for c in 0..4 {
             if (children.len() as u32) >= max_nodes {
                 break;
@@ -123,9 +126,9 @@ pub fn perimeter(max_nodes: u32, repeats: u32) -> Workload {
             let leaf = r.random_range(0..100) < 35;
             children.push([u32::MAX; 4]);
             is_leaf.push(leaf);
-            children[node][c] = id;
+            children[node as usize][c] = id;
             if !leaf {
-                frontier.push(id);
+                frontier.push_back(id);
             }
         }
     }

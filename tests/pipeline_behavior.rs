@@ -260,3 +260,24 @@ fn single_entry_fetch_queue_works() {
     assert!(r.halted);
     assert!(r.ipc() <= 1.0 + 1e-9);
 }
+
+/// A warm-up that runs past `halt` leaves nothing to simulate: the run
+/// reports a halted, empty result instead of fetching beyond the end of
+/// the program.
+#[test]
+fn warm_up_past_halt_reports_a_halted_run() {
+    let w = wib::workloads::test_suite()
+        .into_iter()
+        .find(|w| w.name() == "perimeter")
+        .expect("perimeter");
+    for cfg in [MachineConfig::base_8way(), MachineConfig::wib_2k()] {
+        let r = Processor::new(cfg).run_program_warmed(
+            w.program(),
+            2_000,
+            RunLimit::instructions(1_000),
+        );
+        assert!(r.halted);
+        assert!(!r.cancelled);
+        assert_eq!(r.stats.committed, 0);
+    }
+}
