@@ -5,7 +5,9 @@
 //! [`submit`] (and its configurable form, [`submit_with`]) connects,
 //! sends a `submit` batch, and streams events until every job has
 //! reached a terminal state, writing each result document to
-//! `<out>/<workload>-<digest>.json`. Jobs the daemon **sheds** under
+//! `<out>/<workload>-<digest>.json`. Inside the crate, `submit_on` runs
+//! the same batch over an open `Conn` and leaves it ready for the next
+//! batch (the coordinator pools these). Jobs the daemon **sheds** under
 //! overload are resubmitted on the same connection after the server's
 //! `retry_after_ms` hint, up to [`SubmitOptions::retries`] times —
 //! resubmission is idempotent because a job's identity is its content
@@ -139,11 +141,16 @@ impl Default for SubmitOptions {
     }
 }
 
+/// Connect with no-delay on: requests and events are small writes, and
+/// on a reused connection Nagle's algorithm would hold each one back
+/// for the peer's delayed ACK (about 40 ms).
 fn connect(addr: &str) -> Result<TcpStream, ServeError> {
-    TcpStream::connect(addr).map_err(|e| ServeError::Connect {
+    let stream = TcpStream::connect(addr).map_err(|e| ServeError::Connect {
         addr: addr.to_string(),
         source: e,
-    })
+    })?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// Connect with a hard deadline. The OS default connect timeout can run
@@ -158,7 +165,10 @@ fn connect_within(addr: &str, timeout: Duration) -> Result<TcpStream, ServeError
     let mut last = None;
     for sa in addr.to_socket_addrs().map_err(fail)? {
         match TcpStream::connect_timeout(&sa, timeout) {
-            Ok(s) => return Ok(s),
+            Ok(s) => {
+                let _ = s.set_nodelay(true);
+                return Ok(s);
+            }
             Err(e) => last = Some(e),
         }
     }
@@ -284,17 +294,48 @@ pub fn submit_with(
     if jobs.is_empty() {
         return Ok(Vec::new());
     }
-    let stream = connect(addr)?;
-    stream
-        .set_read_timeout(Some(EVENT_TICK))
-        .map_err(|e| ServeError::io("set read timeout", e))?;
-    let _ = stream.set_write_timeout(Some(RPC_TIMEOUT));
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| ServeError::io("clone socket", e))?,
-    );
+    submit_on(&mut Conn::open(addr)?, jobs, opts)
+}
 
+/// An open connection to a daemon or coordinator. A batch that
+/// [`submit_on`] completes leaves nothing unread on it, so a caller that
+/// sends many batches to one node (the coordinator) can keep it open
+/// and reuse it.
+pub(crate) struct Conn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    /// Connect to `addr` (no-delay, event-loop read timeout).
+    ///
+    /// # Errors
+    /// Connection failures.
+    pub(crate) fn open(addr: &str) -> Result<Conn, ServeError> {
+        let stream = connect(addr)?;
+        stream
+            .set_read_timeout(Some(EVENT_TICK))
+            .map_err(|e| ServeError::io("set read timeout", e))?;
+        let _ = stream.set_write_timeout(Some(RPC_TIMEOUT));
+        let reader = BufReader::new(
+            stream
+                .try_clone()
+                .map_err(|e| ServeError::io("clone socket", e))?,
+        );
+        Ok(Conn { stream, reader })
+    }
+}
+
+/// [`submit_with`] over an open connection.
+///
+/// # Errors
+/// As [`submit_with`]; after an error the connection is unusable.
+pub(crate) fn submit_on(
+    conn: &mut Conn,
+    jobs: &[JobRequest],
+    opts: &SubmitOptions,
+) -> Result<Vec<JobOutcome>, ServeError> {
+    let Conn { stream, reader } = conn;
     let mut slots: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
     let mut attempts = vec![0u32; jobs.len()];
     // Jobs waiting to go out in the next frame (initially: all of them).
@@ -325,7 +366,7 @@ pub fn submit_with(
                 continue;
             }
             frame = std::mem::take(&mut to_send);
-            send_line(&stream, &submit_request(jobs, &frame, opts).to_string())?;
+            send_line(stream, &submit_request(jobs, &frame, opts).to_string())?;
             awaiting_ack = frame.len();
             last_heard = Instant::now();
         }

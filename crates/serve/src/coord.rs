@@ -32,6 +32,11 @@
 //!   failures — one transient timeout no longer reshuffles the ring —
 //!   while a failed job submission still kills a node immediately.
 //!
+//! Forwarding reuses connections: each backend keeps a small pool of
+//! idle no-delay connections left by successful batches, and a pooled
+//! connection that fails is retried once on a fresh one before the
+//! node counts as dead (it may have restarted on the same address).
+//!
 //! The coordinator resolves and validates jobs itself (same catalog,
 //! same [`resolve_job`]), mints its own job ids, and forwards backend
 //! results verbatim — so a sweep through the coordinator produces
@@ -56,7 +61,8 @@ use wib_core::{Counter, Exposition, Gauge, Json, Registry};
 use wib_workloads::Workload;
 
 use crate::cache::ResultCache;
-use crate::client::{self, JobStatus, SubmitOptions};
+use crate::client::{self, Conn, JobOutcome, JobStatus, SubmitOptions};
+use crate::error::ServeError;
 use crate::protocol::{self, JobRequest, Request};
 use crate::ring::HashRing;
 use crate::server::{build_catalog, resolve_job};
@@ -66,6 +72,11 @@ const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Per-connection socket write budget (mirrors the daemon's).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Idle forwarding connections kept per backend. Each one holds a
+/// reader and a writer thread on the backend, so the pool stays small;
+/// concurrent batches beyond it open (and then drop) their own.
+const MAX_IDLE_PER_NODE: usize = 4;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -146,6 +157,9 @@ struct CoordShared {
     /// declared dead from a *probe* path once its streak reaches
     /// `fail_threshold`; any successful probe resets it.
     health: Mutex<HashMap<String, u32>>,
+    /// Idle forwarding connections per live node, left by successful
+    /// batches (at most [`MAX_IDLE_PER_NODE`] each).
+    idle: Mutex<HashMap<String, Vec<Conn>>>,
     registry: Registry,
     started: Instant,
     submitted: Counter,
@@ -187,6 +201,49 @@ impl CoordShared {
 
     fn lock_watchers(&self) -> MutexGuard<'_, HashMap<u64, Sender<String>>> {
         self.watchers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_idle(&self) -> MutexGuard<'_, HashMap<String, Vec<Conn>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Forward one owner's jobs, on an idle pooled connection when there
+    /// is one. A pooled connection that fails is retried once on a fresh
+    /// connection: the node may have restarted on the same address since
+    /// the connection was pooled. Only a fresh connection's failure is
+    /// returned, and the caller declares the node dead on it.
+    fn forward(&self, node: &str, jobs: &[JobRequest]) -> Result<Vec<JobOutcome>, ServeError> {
+        let opts = SubmitOptions::default();
+        let pooled = self.lock_idle().get_mut(node).and_then(Vec::pop);
+        if let Some(mut conn) = pooled {
+            match client::submit_on(&mut conn, jobs, &opts) {
+                Ok(outcomes) => {
+                    self.keep_idle(node, conn);
+                    return Ok(outcomes);
+                }
+                Err(e) => self.log(&format!(
+                    "pooled connection to {node} failed ({e}); retrying on a fresh one"
+                )),
+            }
+        }
+        let mut conn = Conn::open(node)?;
+        let outcomes = client::submit_on(&mut conn, jobs, &opts)?;
+        self.keep_idle(node, conn);
+        Ok(outcomes)
+    }
+
+    /// Return a connection whose batch fully succeeded to the idle pool,
+    /// unless the pool is full or the node has left the ring. The ring
+    /// lock is held so this cannot race [`CoordShared::mark_dead`].
+    fn keep_idle(&self, node: &str, conn: Conn) {
+        let ring = self.lock_ring();
+        if ring.contains(node) {
+            let mut idle = self.lock_idle();
+            let conns = idle.entry(node.to_string()).or_default();
+            if conns.len() < MAX_IDLE_PER_NODE {
+                conns.push(conn);
+            }
+        }
     }
 
     /// Send `ev` to the owning connection and every watcher (same
@@ -241,6 +298,7 @@ impl CoordShared {
             }
             self.node_deaths.inc();
             self.nodes_gauge.set(ring.len() as u64);
+            self.lock_idle().remove(node);
             peer_lists(&ring, self.opts.replicas)
         };
         self.lock_dead().push(node.to_string());
@@ -435,6 +493,7 @@ impl CoordShared {
             return;
         }
         self.log("shutdown requested");
+        self.lock_idle().clear();
         let _ = TcpStream::connect(self.bound);
     }
 }
@@ -516,6 +575,7 @@ pub fn spawn(opts: CoordOptions) -> std::io::Result<CoordHandle> {
         ring: Mutex::new(ring),
         dead: Mutex::new(dead),
         health: Mutex::new(HashMap::new()),
+        idle: Mutex::new(HashMap::new()),
         started: Instant::now(),
         submitted: registry.counter(
             "wib_coord_jobs_submitted_total",
@@ -606,13 +666,18 @@ fn run_loop(shared: Arc<CoordShared>, listener: TcpListener) {
     } else {
         None
     };
-    let mut conn_handles = Vec::new();
+    let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         match stream {
             Ok(stream) => {
+                // An exited thread keeps its stack until it is joined:
+                // reap the finished connections before adding one.
+                for h in conn_handles.extract_if(.., |h| h.is_finished()) {
+                    let _ = h.join();
+                }
                 let shared = Arc::clone(&shared);
                 let h = std::thread::Builder::new()
                     .name("wib-coord-conn".to_string())
@@ -719,6 +784,7 @@ fn handle_conn(shared: Arc<CoordShared>, stream: TcpStream) {
         return;
     }
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let _ = stream.set_nodelay(true);
     let Ok(writer_stream) = stream.try_clone() else {
         return;
     };
@@ -846,6 +912,9 @@ fn dispatch(
         Request::Shutdown { drain } => {
             // Drain the whole cluster: ask every live backend to stop
             // first (their drains finish queued work), then stop here.
+            // Closing the idle forwarding connections first lets each
+            // backend's connection threads exit at once.
+            shared.lock_idle().clear();
             let nodes: Vec<String> = shared.lock_ring().nodes().to_vec();
             for node in nodes {
                 match client::shutdown(&node, drain) {
@@ -962,33 +1031,32 @@ fn route_batch(
                 shared.publish(Some(tx), &protocol::ev_running(r.id));
             }
         }
-        // Fan out: one forwarding client per owner, concurrently. The
-        // per-node submission reuses the full shed-retry client, so an
-        // overloaded backend is retried there; only a *dead* one fails
-        // the group and comes back here for re-routing.
-        let results: Vec<Result<Vec<client::JobOutcome>, crate::ServeError>> =
-            std::thread::scope(|s| {
+        // Fan out: one forwarding client per owner, concurrently (a
+        // single owner is served on this thread). The per-node
+        // submission reuses the full shed-retry client, so an overloaded
+        // backend is retried there; only a *dead* one fails the group
+        // and comes back here for re-routing.
+        let send = |node: &str, group: &[Routed]| {
+            let reqs: Vec<JobRequest> = group.iter().map(|r| r.request.clone()).collect();
+            shared.forward(node, &reqs)
+        };
+        let results: Vec<Result<Vec<JobOutcome>, ServeError>> = match groups.as_slice() {
+            [(node, group)] => vec![send(node, group)],
+            _ => std::thread::scope(|s| {
                 let handles: Vec<_> = groups
                     .iter()
-                    .map(|(node, group)| {
-                        s.spawn(move || {
-                            let reqs: Vec<JobRequest> =
-                                group.iter().map(|r| r.request.clone()).collect();
-                            client::submit_with(node, &reqs, &SubmitOptions::default())
-                        })
-                    })
+                    .map(|(node, group)| s.spawn(move || send(node, group)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| {
                         h.join().unwrap_or_else(|_| {
-                            Err(crate::ServeError::Protocol(
-                                "router thread panicked".to_string(),
-                            ))
+                            Err(ServeError::Protocol("router thread panicked".to_string()))
                         })
                     })
                     .collect()
-            });
+            }),
+        };
         for ((node, group), result) in groups.into_iter().zip(results) {
             match result {
                 Ok(outcomes) => {

@@ -32,6 +32,10 @@
 //! sense for a daemon running as its own process; in-process test
 //! servers must not arm it.
 //!
+//! `shed` and `die` count work on its way to a worker: enqueue attempts
+//! and job executions. A cache hit the daemon answers inline, on its
+//! connection thread, is neither, so it advances neither ordinal.
+//!
 //! The self-healing faults exercise each recovery path: `hang` spins a
 //! simulation in place until its cancel token trips (the hung-job
 //! watchdog must notice the frozen heartbeat and cancel it), `sick`

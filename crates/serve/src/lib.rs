@@ -27,9 +27,10 @@
 //!   which is how the offline gate proves the service changes nothing.
 //!   `client::metrics` scrapes the daemon's Prometheus-format
 //!   exposition (see `docs/observability.md`).
-//! * [`journal`] — write-ahead job journal: accepted jobs are fsync'd
-//!   to an NDJSON log and replayed on restart, so a `kill -9` mid-sweep
-//!   loses nothing the daemon acknowledged.
+//! * [`journal`] — write-ahead job journal: queued jobs are fsync'd to
+//!   an NDJSON log and replayed on restart, so a `kill -9` mid-sweep
+//!   loses nothing the daemon acknowledged (cache hits are answered
+//!   before they are acknowledged, and need no record).
 //! * [`fault`] — deterministic fault injection (`WIB_FAULTS`): seeded
 //!   worker panics, torn cache writes, forced sheds, slow/truncated
 //!   client writes, whole-node death, hung simulations, sick health

@@ -8,7 +8,9 @@
 //! the sweep harnesses' pool (`WIB_THREADS` /
 //! [`wib_bench::parallel::worker_threads`]); every worker owns its
 //! `Processor` per job, exactly as in `parallel_map_named`, so results
-//! are bit-identical to in-process runs.
+//! are bit-identical to in-process runs. A job whose result is already
+//! cached skips all of that: the reader thread answers it inline, with
+//! the same events and no journal record.
 //!
 //! # Failure containment
 //!
@@ -213,12 +215,10 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
-/// How one job attempt ended (internal to the worker).
+/// How one simulated job attempt ended (internal to the worker; cache
+/// hits finish through [`publish_hit`] instead).
 enum Outcome {
-    Done {
-        doc: Json,
-        cached: bool,
-    },
+    Done(Json),
     Cancelled,
     /// The watchdog cancelled a wedged run. A distinct arm (not
     /// `Failed`) because the terminal event carries `kind: "hung"`,
@@ -702,7 +702,7 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<ServerHandle> {
         workers,
         submitted: registry.counter(
             "wib_serve_jobs_submitted_total",
-            "Jobs accepted into the queue.",
+            "Jobs accepted: queued, or answered inline from the cache.",
         ),
         completed: registry.counter(
             "wib_serve_jobs_completed_total",
@@ -832,13 +832,20 @@ fn run_loop(shared: Arc<Shared>, listener: TcpListener) {
                 .expect("spawn worker")
         })
         .collect();
-    let mut conn_handles = Vec::new();
+    let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         match stream {
             Ok(stream) => {
+                // An exited thread keeps its stack until it is joined:
+                // reap the finished connections before adding one.
+                for h in conn_handles.extract_if(.., |h| h.is_finished()) {
+                    if h.join().is_err() {
+                        shared.log("a connection thread panicked");
+                    }
+                }
                 let shared = Arc::clone(&shared);
                 let h = std::thread::Builder::new()
                     .name("wib-serve-conn".to_string())
@@ -1037,18 +1044,23 @@ fn run_one_job(shared: &Shared, id: u64) {
             None
         }
     });
+    if let Some(doc) = cached_json {
+        settle(shared, id, JobState::Done);
+        let hit = Hit {
+            id,
+            span: &span,
+            workload: &workload_name,
+            queued_at,
+            queue_mark,
+            lookup_mark,
+            local: !peer_sourced,
+        };
+        publish_hit(shared, tx.as_ref(), &hit, doc);
+        shared.journal_finished(id, "done");
+        return;
+    }
     let mut ran = false;
-    let outcome = if let Some(doc) = cached_json {
-        if !peer_sourced {
-            // Peer serves stay out of the local-hit latency histogram:
-            // they include a network round trip and would skew it.
-            shared
-                .telemetry
-                .cache_hit_us
-                .observe(lookup_mark - queue_mark);
-        }
-        Outcome::Done { doc, cached: true }
-    } else if let Some(workload) = shared.catalog.get(&workload_name) {
+    let outcome = if let Some(workload) = shared.catalog.get(&workload_name) {
         ran = true;
         let sim = catch_unwind(AssertUnwindSafe(|| {
             if shared.faults.next_sim_panics() {
@@ -1095,7 +1107,7 @@ fn run_one_job(shared: &Shared, id: u64) {
                     shared.publish(tx.as_ref(), &protocol::ev_interval(id, sample));
                 }
                 shared.cache.put(&key, doc.to_string());
-                Outcome::Done { doc, cached: false }
+                Outcome::Done(doc)
             }
             Err(panic) => {
                 shared.panicked.inc();
@@ -1111,22 +1123,19 @@ fn run_one_job(shared: &Shared, id: u64) {
         Outcome::Failed(format!("workload {workload_name:?} vanished from catalog"))
     };
     let run_mark = us_since(queued_at);
-    {
-        let mut jobs = shared.lock_jobs();
-        if let Some(job) = jobs.get_mut(&id) {
-            job.sender = None;
-            job.token = None;
-            job.state = match outcome {
-                Outcome::Done { .. } => JobState::Done,
-                Outcome::Cancelled => JobState::Cancelled,
-                Outcome::Hung | Outcome::Failed(_) => JobState::Failed,
-            };
-        }
-    }
+    settle(
+        shared,
+        id,
+        match outcome {
+            Outcome::Done(_) => JobState::Done,
+            Outcome::Cancelled => JobState::Cancelled,
+            Outcome::Hung | Outcome::Failed(_) => JobState::Failed,
+        },
+    );
     // Latency rollups and the span record, just before the terminal
     // event (a client sees the span first, then the outcome it explains).
     let outcome_name = match &outcome {
-        Outcome::Done { .. } => "done",
+        Outcome::Done(_) => "done",
         Outcome::Cancelled => "cancelled",
         Outcome::Hung => "hung",
         Outcome::Failed(_) => "error",
@@ -1160,13 +1169,10 @@ fn run_one_job(shared: &Shared, id: u64) {
         ),
     );
     match outcome {
-        Outcome::Done { doc, cached } => {
+        Outcome::Done(doc) => {
             shared.completed.inc();
-            shared.log(&format!(
-                "job {id} {workload_name} done{}",
-                if cached { " (cached)" } else { "" }
-            ));
-            shared.publish(tx.as_ref(), &protocol::ev_done(id, cached, doc));
+            shared.log(&format!("job {id} {workload_name} done"));
+            shared.publish(tx.as_ref(), &protocol::ev_done(id, false, doc));
         }
         Outcome::Cancelled => {
             shared.cancelled.inc();
@@ -1190,6 +1196,73 @@ fn run_one_job(shared: &Shared, id: u64) {
         }
     }
     shared.journal_finished(id, outcome_name);
+}
+
+/// Record a job's terminal state in the job table, dropping its event
+/// channel (so writer threads can exit) and its cancel token.
+fn settle(shared: &Shared, id: u64, state: JobState) {
+    if let Some(job) = shared.lock_jobs().get_mut(&id) {
+        job.sender = None;
+        job.token = None;
+        job.state = state;
+    }
+}
+
+/// One cache hit on its way to the client.
+struct Hit<'a> {
+    id: u64,
+    span: &'a str,
+    workload: &'a str,
+    queued_at: Instant,
+    /// Span stage marks in µs from `queued_at`: the end of the queue
+    /// wait (0 for an inline hit) and the end of the cache lookup.
+    queue_mark: u64,
+    lookup_mark: u64,
+    /// Served from this node's cache. A peer's document includes a
+    /// network round trip, so it stays out of the local-hit histogram.
+    local: bool,
+}
+
+/// A cache hit's terminal bookkeeping, shared by the inline path in
+/// [`submit_batch`] and a worker whose job was cached by the time it was
+/// picked up: latency rollups, the span record (`queue`, `cache`,
+/// `finish`, summing exactly to `total_us`), the `completed` count and
+/// the `done` event.
+fn publish_hit(shared: &Shared, tx: Option<&Sender<String>>, hit: &Hit<'_>, doc: Json) {
+    let finish_mark = us_since(hit.queued_at);
+    let stages = [
+        ("queue", hit.queue_mark),
+        ("cache", hit.lookup_mark - hit.queue_mark),
+        ("finish", finish_mark - hit.lookup_mark),
+    ];
+    let t = &shared.telemetry;
+    t.queue_wait_us.observe(hit.queue_mark);
+    if hit.local {
+        t.cache_hit_us.observe(hit.lookup_mark - hit.queue_mark);
+    }
+    t.job_us(hit.workload, "done").observe(finish_mark);
+    shared.publish(
+        tx,
+        &protocol::ev_span(hit.id, hit.span, hit.workload, "done", &stages, finish_mark),
+    );
+    shared.completed.inc();
+    shared.log(&format!("job {} {} done (cached)", hit.id, hit.workload));
+    shared.publish(tx, &protocol::ev_done(hit.id, true, doc));
+}
+
+/// The inline hit path's lookup: the parsed document when `key` is in
+/// this node's cache (memory or disk), with the span's lookup mark in
+/// µs from `queued_at`. The mark is taken before the parse, as in the
+/// worker. Only a hit that will be served is counted; a miss goes to
+/// the queue, where the worker's own lookup counts it, so every job is
+/// counted exactly once.
+fn local_hit(shared: &Shared, key: &str, queued_at: Instant) -> Option<(Json, u64)> {
+    let text = shared.cache.peek(key)?;
+    let lookup_mark = us_since(queued_at);
+    let doc = Json::parse(&text).ok()?;
+    // `peek` loaded a disk entry into memory, so this counts the hit.
+    shared.cache.get(key);
+    Some((doc, lookup_mark))
 }
 
 /// On a local cache miss, probe the peering list (ring successors
@@ -1239,6 +1312,9 @@ fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
     }
+    // Events go out as small writes; Nagle's algorithm would hold each
+    // one back for the peer's delayed ACK on a reused connection.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -1473,6 +1549,30 @@ fn submit_batch(
         // daemon's monotonic clock. Never part of the result document.
         let span = format!("{id:x}.{:x}", shared.telemetry.started.elapsed().as_nanos());
         let deadline_ms = job.deadline_ms.or(batch_deadline);
+        let queued_at = Instant::now();
+        // A result already in the cache is answered here, on the
+        // connection thread. It is finished before its `queued` event
+        // reaches the client, so there is nothing to journal, queue or
+        // track, and no worker wakes for it.
+        if let Some((doc, lookup_mark)) = local_hit(shared, &key, queued_at) {
+            shared.submitted.inc();
+            shared.publish(
+                Some(tx),
+                &protocol::ev_queued(id, index, &workload, &spec, &key, &span),
+            );
+            shared.publish(Some(tx), &protocol::ev_running(id));
+            let hit = Hit {
+                id,
+                span: &span,
+                workload: &workload,
+                queued_at,
+                queue_mark: 0,
+                lookup_mark,
+                local: true,
+            };
+            publish_hit(shared, Some(tx), &hit, doc);
+            continue;
+        }
         shared.lock_jobs().insert(
             id,
             Job {
@@ -1482,7 +1582,7 @@ fn submit_batch(
                 insts,
                 warmup,
                 span: span.clone(),
-                queued_at: Instant::now(),
+                queued_at,
                 deadline_ms,
                 state: JobState::Queued,
                 cancelled: false,
@@ -1493,8 +1593,8 @@ fn submit_batch(
                 sender: Some(tx.clone()),
             },
         );
-        // The durability point: the accepted record is fsync'd before
-        // the client sees `queued`. If the push is then refused, the
+        // The durability point for work that enters the queue: the
+        // accepted record is fsync'd before the client sees `queued`. If the push is then refused, the
         // journal gets the matching terminal record so a restart does
         // not replay a job the client was told to retry.
         if let Some(journal) = &shared.journal {

@@ -438,6 +438,14 @@ fi
 # The healed ring serves the same sweep byte-identically.
 cargo run -q --release --offline -p wib-cli --bin wib-sim -- submit "${wide[@]}" \
     --coord "$hcoord" --insts 20000 --warmup 2000 --out "$heal_dir/remote2"
+# A forwarding connection pooled before the kill must be retried on a
+# fresh one, never counted as a second death of the restarted node.
+hstats=$(cargo run -q --release --offline -p wib-cli --bin wib-sim -- stats --coord "$hcoord")
+if [[ "$(chaos_stat node_deaths "$hstats")" != "1" ]]; then
+    echo "  FAIL: the healed-ring pass declared another node death"
+    echo "$hstats"
+    exit 1
+fi
 cargo run -q --release --offline -p wib-cli --bin wib-sim -- shutdown --coord "$hcoord" > /dev/null
 wait "$heal_coord_pid"
 wait "$hb1_pid"
